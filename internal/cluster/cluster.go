@@ -88,8 +88,8 @@ type Options struct {
 	// Clock pays every modeled delay in the cluster — disk, network,
 	// compression CPU, contention — and is threaded to both engines (the
 	// MapReduce baseline reads it via Cluster.Clock for its startup and
-	// straggler charges). Nil defaults to vtime.Real(): plain sleeps,
-	// bit-identical to the pre-seam substrate. Install a
+	// straggler charges). Nil defaults to vtime.Real(): real sleeps,
+	// paced per serial resource by vtime.Pacer. Install a
 	// *vtime.VirtualClock to run the same workload without wall sleeps
 	// while modeled elapsed time accrues on per-node logical clocks.
 	Clock vtime.Clock
@@ -133,11 +133,11 @@ type Cluster struct {
 	// (the HAMR runtime via core.Config, the MapReduce baseline via
 	// SpillCompression). Zero when compression is off.
 	spillCC compress.Config
-	// rxMu serializes modeled ChargeNet delays per receiving node, so a
+	// rx serializes modeled ChargeNet delays per receiving node, so a
 	// node's ingress bandwidth is a real bottleneck for the baseline's
 	// shuffle fetches and HDFS remote reads (the fabric's own deliveries
 	// are already serialized per receiver by the transport).
-	rxMu []sync.Mutex
+	rx []receiver
 
 	// jobs is the lazily-built multi-job manager behind Submit; jobsMu
 	// guards its creation and the handoff to Close.
@@ -283,7 +283,7 @@ func New(opts Options) (*Cluster, error) {
 	c.store = kvstore.New(opts.NumNodes, c.ChargeNet)
 	c.sched = yarn.NewScheduler(opts.NumNodes, opts.YarnMemMB)
 	c.sched.SetTracer(opts.Trace)
-	c.rxMu = make([]sync.Mutex, opts.NumNodes)
+	c.rx = make([]receiver, opts.NumNodes)
 
 	c.nodes = make([]*core.NodeRuntime, opts.NumNodes)
 	for i := 0; i < opts.NumNodes; i++ {
@@ -355,8 +355,15 @@ func (c *Cluster) SpillCompression() compress.Config { return c.spillCC }
 // would have done itself).
 func (c *Cluster) cpuCharge(d time.Duration) { c.clk.Charge(vtime.Driver, vtime.CPU, d) }
 
+// receiver is one node's ingress: its lock serializes the node's
+// ChargeNet delays and its pacer pays them.
+type receiver struct {
+	mu   sync.Mutex
+	pace vtime.Pacer
+}
+
 // ChargeNet charges the network cost model for a point-to-point transfer,
-// sleeping the modeled delay in the caller's goroutine. It is used by the
+// paying the modeled delay in the caller's goroutine. It is used by the
 // substrates whose transfers do not flow through the message fabric (HDFS
 // remote reads, kv-store remote access, the baseline's shuffle fetch).
 func (c *Cluster) ChargeNet(from, to transport.NodeID, bytes int64) {
@@ -374,11 +381,11 @@ func (c *Cluster) ChargeNet(from, to transport.NodeID, bytes int64) {
 	}
 	if d > 0 {
 		c.tNetTime.Observe(d)
-		if int(to) >= 0 && int(to) < len(c.rxMu) {
-			mu := &c.rxMu[to]
-			mu.Lock()
-			c.clk.Charge(int(to), vtime.Net, d)
-			mu.Unlock()
+		if int(to) >= 0 && int(to) < len(c.rx) {
+			rx := &c.rx[to]
+			rx.mu.Lock()
+			rx.pace.Charge(c.clk, int(to), vtime.Net, d)
+			rx.mu.Unlock()
 		} else {
 			c.clk.Charge(vtime.Driver, vtime.Net, d)
 		}

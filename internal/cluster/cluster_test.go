@@ -92,6 +92,38 @@ func TestChargeNetSerializesPerReceiver(t *testing.T) {
 	}
 }
 
+// On the real clock many small transfers to one receiver take no less
+// wall time than their summed modeled delay: the receiver's pacer may
+// credit sleep overshoot but never undercharges.
+func TestChargeNetRealClockFloor(t *testing.T) {
+	const (
+		senders = 4
+		each    = 100
+		latency = 50 * time.Microsecond
+	)
+	model := transport.CostModel{Latency: latency}
+	c, err := New(Options{NumNodes: 3, NetModel: &model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(from transport.NodeID) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.ChargeNet(from, 0, 64)
+			}
+		}(transport.NodeID(1 + s%2))
+	}
+	wg.Wait()
+	if want, wall := senders*each*latency, time.Since(start); wall < want {
+		t.Fatalf("%d transfers to one receiver took %v, below the charged %v", senders*each, wall, want)
+	}
+}
+
 func TestChargeNetSelfIsFree(t *testing.T) {
 	model := transport.CostModel{BytesPerSec: 1} // absurdly slow
 	c, err := New(Options{NumNodes: 2, NetModel: &model})

@@ -89,6 +89,8 @@ type prStripe struct {
 	// the serialized time the stripe's lock would have imposed. Only the
 	// virtual-clock overlap model reads it.
 	charged time.Duration
+	// pace pays the stripe's real-clock contention charges (under mu).
+	pace vtime.Pacer
 }
 
 // flowletState is the per-node state of one flowlet: lifecycle counters
@@ -609,9 +611,10 @@ func (fs *flowletState) applyStripeBatch(st *prStripe, kvs []KV) error {
 }
 
 // chargeContention pays one stripe batch's modeled contention cost d,
-// called with st.mu held. Under the real clock the charge sleeps right
-// here, so the stripe lock serializes contenders — the mechanism the
-// §5.2 model relies on: few hot stripes convoy, many stripes overlap.
+// called with st.mu held. Under the real clock the charge is paid right
+// here through the stripe's pacer, so the stripe lock serializes
+// contenders — the mechanism the §5.2 model relies on: few hot stripes
+// convoy, many stripes overlap.
 //
 // A virtual clock cannot reproduce that overlap by summing charges onto
 // the node lane (that serializes everything, overcharging wide key
@@ -625,7 +628,7 @@ func (fs *flowletState) chargeContention(st *prStripe, d time.Duration) {
 	clk := fs.jn.rt.cfg.Clock
 	vc, ok := clk.(*vtime.VirtualClock)
 	if !ok {
-		clk.Charge(fs.jn.rt.id, vtime.Contention, d)
+		st.pace.Charge(clk, fs.jn.rt.id, vtime.Contention, d)
 		return
 	}
 	vc.AddBusy(vtime.Contention, d)

@@ -77,9 +77,9 @@ type Config struct {
 	CoalesceMsgs  int
 	CoalesceAge   time.Duration
 	// Clock pays the runtime's modeled delays (the contention model, the
-	// coalescer's age timer). Nil defaults to the real clock — plain
-	// sleeps, bit-identical to the pre-seam engine. The cluster threads
-	// its own clock here so one knob switches every layer together.
+	// coalescer's age timer). Nil defaults to the real clock — real
+	// sleeps, paced per stripe by vtime.Pacer. The cluster threads its
+	// own clock here so one knob switches every layer together.
 	Clock vtime.Clock
 	// SpillCompress, when enabled, block-compresses reduce-flowlet spill
 	// runs on their way to local disk. The zero value leaves the spill

@@ -225,29 +225,40 @@ func TestStatusLifecycle(t *testing.T) {
 	}
 }
 
+// With a contention cost configured, a single hot key puts every update
+// on one stripe. The partial reduce must record the full modeled cost,
+// and on the real clock run no faster than updates × cost: the stripe's
+// pacer may credit sleep overshoot but never undercharges.
 func TestContentionCostCharged(t *testing.T) {
-	// With a contention cost configured, a skewed partial reduce must
-	// record modeled contention time.
+	const (
+		updates = 400
+		cost    = 50 * time.Microsecond
+	)
 	chunks := [][]string{}
 	for i := 0; i < 8; i++ {
-		chunks = append(chunks, []string{strings.Repeat("hot ", 50)})
+		chunks = append(chunks, []string{strings.Repeat("hot ", updates/8)})
 	}
 	g, sink := buildWordCount(t, true, chunks)
-	nodes, cleanup := newTestCluster(t, 2, Config{Workers: 2, ContentionCost: 10 * time.Microsecond})
+	nodes, cleanup := newTestCluster(t, 2, Config{Workers: 2, ContentionCost: cost})
 	defer cleanup()
+	start := time.Now()
 	res, err := Run(g, nodes, nil)
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Metrics.Timers["partial.contention"]; d <= 0 {
-		t.Errorf("no contention charged: %v", res.Metrics.Timers)
+	if got, want := res.Metrics.Timers["partial.contention"], updates*cost; got != want {
+		t.Errorf("charged contention = %v, want %v", got, want)
+	}
+	if wall < updates*cost {
+		t.Errorf("job ran in %v, below the hot stripe's charged %v", wall, updates*cost)
 	}
 	got := map[string]int64{}
 	for _, kv := range sink.Pairs() {
 		got[kv.Key] += kv.Value.(int64)
 	}
-	if got["hot"] != 400 {
-		t.Errorf("hot = %d, want 400", got["hot"])
+	if got["hot"] != updates {
+		t.Errorf("hot = %d, want %d", got["hot"], updates)
 	}
 }
 

@@ -301,9 +301,11 @@ type CostDisk struct {
 	backing Disk
 	model   CostModel
 	reg     *metrics.Registry
-	// slots serializes modeled delays so aggregate throughput cannot
-	// exceed Parallel concurrent streams.
-	slots chan struct{}
+	// slots holds one pacer per modeled stream, Parallel in all: a charge
+	// takes a slot for its duration, so aggregate throughput cannot exceed
+	// Parallel concurrent streams, and pays through the slot's pacer, so a
+	// stream's sleep-overshoot credit travels with the slot.
+	slots chan *vtime.Pacer
 	// sleep, when non-nil, replaces the clock for tests (SetSleep).
 	sleep func(time.Duration)
 	// clock pays modeled delays; node attributes them (vtime.Driver when
@@ -322,11 +324,15 @@ func NewCostDisk(backing Disk, model CostModel, reg *metrics.Registry) *CostDisk
 	if par <= 0 {
 		par = 1
 	}
+	slots := make(chan *vtime.Pacer, par)
+	for i := 0; i < par; i++ {
+		slots <- new(vtime.Pacer)
+	}
 	return &CostDisk{
 		backing: backing,
 		model:   model,
 		reg:     reg,
-		slots:   make(chan struct{}, par),
+		slots:   slots,
 		clock:   vtime.Real(),
 		node:    vtime.Driver,
 	}
@@ -350,13 +356,13 @@ func (d *CostDisk) charge(dur time.Duration) {
 		return
 	}
 	d.reg.Observe("disk.time", dur)
-	d.slots <- struct{}{}
+	p := <-d.slots
 	if d.sleep != nil {
 		d.sleep(dur)
 	} else {
-		d.clock.Charge(d.node, vtime.Disk, dur)
+		p.Charge(d.clock, d.node, vtime.Disk, dur)
 	}
-	<-d.slots
+	d.slots <- p
 }
 
 type costWriter struct {

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/hamr-go/hamr/internal/metrics"
 )
 
 // diskContract runs the behavioural contract every Disk implementation
@@ -216,6 +218,49 @@ func TestCostDiskChargesModeledTime(t *testing.T) {
 	r.Close()
 	if charged < time.Millisecond+900*time.Millisecond {
 		t.Errorf("read charge %v, want >= ~1s", charged)
+	}
+}
+
+// On the real clock a disk with Parallel streams serves concurrent small
+// writes no faster than their summed modeled delay divided by Parallel:
+// each stream's pacer may credit sleep overshoot but never undercharges.
+func TestCostDiskRealClockFloor(t *testing.T) {
+	const (
+		par     = 2
+		writers = 4
+		each    = 100
+	)
+	reg := metrics.NewRegistry()
+	cd := NewCostDisk(NewMemDisk(0), CostModel{
+		WriteBytesPerSec: 64 * 20000, // 50µs per 64-byte write
+		Parallel:         par,
+	}, reg)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			w, err := cd.Create(fmt.Sprintf("f%d", g))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf := make([]byte, 64)
+			for i := 0; i < each; i++ {
+				w.Write(buf)
+			}
+			w.Close()
+		}(g)
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	charged := reg.Timer("disk.time").Total()
+	if charged < writers*each*49*time.Microsecond {
+		t.Fatalf("charged %v for %d writes", charged, writers*each)
+	}
+	if wall < charged/par {
+		t.Fatalf("%d writes on %d streams took %v, below the charged %v / %d", writers*each, par, wall, charged, par)
 	}
 }
 

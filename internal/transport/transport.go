@@ -22,8 +22,8 @@
 // the destination inbox (an atomically swapped immutable routing snapshot
 // serves lookups), the inbox is a ring queue that does not retain its
 // backing array the way a queue = queue[1:] slice did, and the delivery
-// goroutine drains whole batches, charging the summed modeled delay in a
-// single sleep. The modeled per-message byte and latency charges are
+// goroutine drains whole batches, charging the summed modeled delay once
+// through the inbox's pacer. The modeled per-message byte and latency charges are
 // computed with the exact same formula as one-at-a-time delivery, so
 // total modeled cost is bit-identical — only the engine's own overhead
 // (lock acquisitions, wakeups, registry lookups, sleep syscalls) is
@@ -232,6 +232,9 @@ type inbox struct {
 	// deliveries numbers charged delivery batches for trace span IDs; only
 	// the delivery goroutine touches it.
 	deliveries int64
+	// pace pays the inbox's modeled delivery delays; only the delivery
+	// goroutine touches it.
+	pace vtime.Pacer
 }
 
 // enqueue appends msg to the inbox queue, reporting false if the inbox is
@@ -489,8 +492,9 @@ func (n *InMemNetwork) Unregister(node NodeID) error {
 
 // deliver drains one node's inbox. The whole pending batch is taken in a
 // single critical section; the summed modeled delay of the batch — each
-// message priced with the identical per-message formula — is charged with
-// one sleep and one net.time observation covering the batch.
+// message priced with the identical per-message formula — is charged once
+// through the inbox's pacer, with one net.time observation covering the
+// batch.
 func (n *InMemNetwork) deliver(ib *inbox) {
 	defer close(ib.done)
 	var batch []Message
@@ -531,16 +535,10 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 				}
 				sp := t.Start(int(ib.id), "",
 					fmt.Sprintf("net:rx%d:%d", ib.id, ib.deliveries), "deliver", "net")
-				if n.sleep != nil {
-					n.sleep(total)
-				} else {
-					n.clock.Charge(int(ib.id), vtime.Net, total)
-				}
+				n.charge(ib, total)
 				sp.EndBytes(bytes)
-			} else if n.sleep != nil {
-				n.sleep(total)
 			} else {
-				n.clock.Charge(int(ib.id), vtime.Net, total)
+				n.charge(ib, total)
 			}
 		}
 		dm := n.decm.Load()
@@ -550,6 +548,17 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 		}
 		ib.inflight.Store(0)
 		n.decPending(int64(len(batch)))
+	}
+}
+
+// charge pays one delivery batch's modeled delay on ib's delivery
+// goroutine: through the SetSleep hook when one is installed, else
+// through the inbox's pacer.
+func (n *InMemNetwork) charge(ib *inbox, d time.Duration) {
+	if n.sleep != nil {
+		n.sleep(d)
+	} else {
+		ib.pace.Charge(n.clock, int(ib.id), vtime.Net, d)
 	}
 }
 

@@ -171,6 +171,40 @@ func TestInMemCostModelCharges(t *testing.T) {
 	}
 }
 
+// On the real clock a burst of small messages to one inbox is delivered
+// no faster than the summed modeled delay: the inbox's pacer may credit
+// sleep overshoot but never undercharges.
+func TestInMemRealClockFloor(t *testing.T) {
+	const (
+		msgs    = 400
+		latency = 50 * time.Microsecond
+	)
+	reg := metrics.NewRegistry()
+	n := NewInMemNetwork(CostModel{Latency: latency}, reg)
+	defer n.Close()
+	var got atomic.Int64
+	done := make(chan struct{})
+	n.Register(0, func(Message) {
+		if got.Add(1) == msgs {
+			close(done)
+		}
+	})
+	start := time.Now()
+	for i := 0; i < msgs; i++ {
+		if err := n.Send(Message{From: 1, To: 0, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	wall := time.Since(start)
+	if charged := reg.Timer("net.time").Total(); charged != msgs*latency {
+		t.Fatalf("charged %v, want %v", charged, msgs*latency)
+	}
+	if wall < msgs*latency {
+		t.Fatalf("%d messages delivered in %v, below the charged %v", msgs, wall, msgs*latency)
+	}
+}
+
 func TestInMemQueueDepth(t *testing.T) {
 	n := NewInMemNetwork(CostModel{}, nil)
 	defer n.Close()

@@ -8,8 +8,12 @@
 // Two implementations are provided:
 //
 //   - RealClock (the default everywhere): a charge is paid by sleeping in
-//     the charging goroutine, exactly as the layers did before the seam
-//     existed. Runs are bit-identical to the pre-seam code.
+//     the charging goroutine. Serial resources (a disk stream, an inbox, a
+//     receiver's ingress, a partial-reduce stripe) pay through a Pacer,
+//     which never pays less real time than was charged but credits each
+//     sleep's overshoot against the next charges, so the host's sleep
+//     granularity (about 1 ms for any shorter sleep) is not a hidden tax
+//     on thousands of sub-millisecond charges.
 //
 //   - VirtualClock: a charge advances a per-node logical clock instead of
 //     sleeping, with per-resource busy-time accounting on the side. Wall
@@ -119,6 +123,40 @@ func (RealClock) Charge(_ int, _ Resource, d time.Duration) {
 
 // AfterFunc implements Clock.
 func (RealClock) AfterFunc(d time.Duration, f func()) *time.Timer { return time.AfterFunc(d, f) }
+
+// Pacer pays the charges of one serial modeled resource. Under a
+// RealClock it keeps a signed balance of charged-but-unpaid time: a
+// charge adds to it, and only a positive balance is slept, after which
+// the time actually slept is subtracted. A sleep's overshoot therefore
+// becomes credit against the next charges instead of a tax on each one.
+// For every pacer, cumulative real time paid is at least the cumulative
+// time charged at every instant, and exceeds it by at most one sleep's
+// overshoot. Under any other clock Charge is exactly clk.Charge.
+//
+// A Pacer is not safe for concurrent use: the caller must hold whatever
+// lock (or be the one goroutine) that serializes the resource it paces.
+// The zero value is ready to use.
+type Pacer struct {
+	owed time.Duration
+}
+
+// Charge pays a modeled delay of d attributed to node's resource res.
+func (p *Pacer) Charge(clk Clock, node int, res Resource, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	if _, ok := clk.(RealClock); !ok {
+		clk.Charge(node, res, d)
+		return
+	}
+	p.owed += d
+	if p.owed <= 0 {
+		return
+	}
+	start := time.Now()
+	time.Sleep(p.owed)
+	p.owed -= time.Since(start)
+}
 
 // lane is one logical clock, padded to its own cache line so concurrent
 // chargers on different nodes do not false-share.

@@ -177,3 +177,108 @@ func TestResourceStrings(t *testing.T) {
 		}
 	}
 }
+
+// A pacer on the real clock pays at least the charged time but credits
+// each sleep's overshoot against the next charges, so many small
+// charges cost about their sum rather than one sleep granule each.
+func TestPacerRealClockFloorAndCredit(t *testing.T) {
+	const (
+		n = 400
+		d = 50 * time.Microsecond
+	)
+	var p Pacer
+	clk := Real()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		p.Charge(clk, 0, Contention, d)
+		// The floor holds at every instant, not only at the end.
+		if paid, charged := time.Since(start), time.Duration(i+1)*d; paid < charged {
+			t.Fatalf("after %d charges paid %v < charged %v", i+1, paid, charged)
+		}
+	}
+	wall := time.Since(start)
+	if want := n * d; wall < want {
+		t.Fatalf("%d charges of %v paid in %v, want >= %v", n, d, wall, want)
+	}
+	if wall >= 200*time.Millisecond {
+		t.Fatalf("%d charges of %v took %v; pacing should credit sleep overshoot", n, d, wall)
+	}
+}
+
+// Under the virtual clock a pacer is exactly clk.Charge: lanes and busy
+// totals match direct charges, parallelism included.
+func TestPacerVirtualMatchesCharge(t *testing.T) {
+	charges := []struct {
+		node int
+		res  Resource
+		d    time.Duration
+	}{
+		{0, Disk, 3 * time.Millisecond},
+		{1, Disk, 7 * time.Microsecond},
+		{0, Net, 60 * time.Microsecond},
+		{Driver, Startup, 2 * time.Millisecond},
+		{1, Contention, 1500 * time.Nanosecond},
+		{0, Disk, 0},
+		{1, Net, -time.Millisecond},
+	}
+	direct := NewVirtual(2).SetParallelism(Disk, 2)
+	paced := NewVirtual(2).SetParallelism(Disk, 2)
+	var p Pacer
+	for _, c := range charges {
+		direct.Charge(c.node, c.res, c.d)
+		p.Charge(paced, c.node, c.res, c.d)
+	}
+	for _, node := range []int{Driver, 0, 1} {
+		if got, want := paced.NodeTime(node), direct.NodeTime(node); got != want {
+			t.Fatalf("lane %d = %v, want %v", node, got, want)
+		}
+	}
+	for _, r := range Resources() {
+		if got, want := paced.Busy(r), direct.Busy(r); got != want {
+			t.Fatalf("busy(%v) = %v, want %v", r, got, want)
+		}
+	}
+	if got, want := paced.Elapsed(), direct.Elapsed(); got != want {
+		t.Fatalf("elapsed = %v, want %v", got, want)
+	}
+}
+
+// Non-positive charges neither sleep nor change the pacer's balance.
+func TestPacerNonPositiveIsNoop(t *testing.T) {
+	var p Pacer
+	start := time.Now()
+	p.Charge(Real(), 0, Disk, 0)
+	p.Charge(Real(), 0, Disk, -time.Second)
+	if wall := time.Since(start); wall > 50*time.Millisecond {
+		t.Fatalf("non-positive charges took %v", wall)
+	}
+	if p != (Pacer{}) {
+		t.Fatalf("non-positive charges changed the pacer: %+v", p)
+	}
+	v := NewVirtual(1)
+	p.Charge(v, 0, Disk, -time.Second)
+	if v.Elapsed() != 0 || v.Busy(Disk) != 0 {
+		t.Fatalf("non-positive charge advanced the virtual clock")
+	}
+}
+
+// 100 charges of 60µs, paid one sleep each on the real clock.
+func BenchmarkRealClockSmallCharges(b *testing.B) {
+	clk := Real()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 100; j++ {
+			clk.Charge(0, Net, 60*time.Microsecond)
+		}
+	}
+}
+
+// The same 100 charges of 60µs paid through one pacer.
+func BenchmarkPacerSmallCharges(b *testing.B) {
+	clk := Real()
+	var p Pacer
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 100; j++ {
+			p.Charge(clk, 0, Net, 60*time.Microsecond)
+		}
+	}
+}
