@@ -4,25 +4,17 @@
 // over deterministic inputs, and prints the modeled-cost invariants
 // (spill bytes, spill/merge-pass counts, disk byte totals) plus a SHA-256
 // of each job's output. Run it before and after a change to the sort
-// substrate: every printed line must be identical.
+// substrate: every printed line must be identical. The workloads are the
+// sort family of the invariance kit (internal/bench), whose output hashes
+// `go test -v -run TestInvariance ./internal/bench/` pins.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
-	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/mapreduce"
-	"github.com/hamr-go/hamr/internal/metrics"
-	"github.com/hamr-go/hamr/internal/storage"
-	"github.com/hamr-go/hamr/internal/transport"
-	"github.com/hamr-go/hamr/internal/vtime"
+	"github.com/hamr-go/hamr/internal/bench"
 )
 
 // vclock runs every probe cluster under a virtual clock. The probe's
@@ -30,258 +22,78 @@ import (
 // either way — which is exactly what CI diffs.
 var vclock = flag.Bool("vclock", false, "pay modeled delays on a virtual clock instead of sleeping")
 
-// corpus builds a deterministic multi-line text (same generator as the
-// mapreduce engine tests, larger vocabulary so runs hold many keys).
-func corpus(lines int) string {
-	words := []string{
-		"ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen",
-		"ibis", "jay", "kite", "lark", "mole", "newt", "owl", "pika",
-	}
-	var sb strings.Builder
-	for i := 0; i < lines; i++ {
-		for j := 0; j < 8; j++ {
-			sb.WriteString(words[(i*13+j*5)%len(words)])
-			sb.WriteByte(' ')
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }
 
-// teraLines builds TeraSort-style rows: a deterministic pseudo-random
-// 10-hex-digit key plus a fixed-width payload, one per line.
-func teraLines(n int) string {
-	var sb strings.Builder
-	state := uint64(0x9E3779B97F4A7C15)
-	for i := 0; i < n; i++ {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		fmt.Fprintf(&sb, "%010x %08d-payload\n", state&0xFFFFFFFFFF, i)
-	}
-	return sb.String()
+func printCounters(label string, r *bench.KitRun, names ...string) {
+	fmt.Printf("%s: %s\n", label, r.Counters(names...))
 }
 
-// zeroCost counts disk bytes in metrics without charging any modeled
-// delay (all rates/latencies zero).
-func zeroCost() *storage.CostModel { return &storage.CostModel{} }
-
-func newCluster(nodes int, coreCfg core.Config) *cluster.Cluster {
-	opts := cluster.Options{
-		NumNodes:      nodes,
-		Core:          coreCfg,
-		DiskModel:     zeroCost(),
-		HDFSBlockSize: 4 << 10,
-	}
-	if *vclock {
-		opts.Clock = vtime.NewVirtual(nodes).SetRealHold(vtime.Startup, true)
-	}
-	c, err := cluster.New(opts)
+func printHash(label string, r *bench.KitRun) {
+	hash, err := r.Hash()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
-	return c
+	fmt.Printf("%s: output=%s\n", label, hash)
 }
 
-func hashHDFSOutput(c *cluster.Cluster, prefix string) string {
-	h := sha256.New()
-	for _, name := range c.FS().List(prefix) {
-		data, err := c.FS().ReadFile(name, -1)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(h, "%s\n", name)
-		h.Write(data)
+func probeMRWordCount(p bench.Profile, withCombiner bool) {
+	r, err := p.SortWordCount(withCombiner)
+	if err != nil {
+		fatal(err)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))[:16]
-}
-
-func printCounters(label string, reg *metrics.Registry, names ...string) {
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, reg.Counter(n).Value()))
-	}
-	fmt.Printf("%s: %s\n", label, strings.Join(parts, " "))
-}
-
-type wcMapper struct{}
-
-func (wcMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	for _, w := range strings.Fields(kv.Value.(string)) {
-		if err := out.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type sumReducer struct{}
-
-func (sumReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	var total int64
-	for _, v := range values {
-		total += v.(int64)
-	}
-	return out.Emit(core.KV{Key: key, Value: total})
-}
-
-type teraMapper struct{}
-
-func (teraMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	line := kv.Value.(string)
-	if line == "" {
-		return nil
-	}
-	k, v, _ := strings.Cut(line, " ")
-	return out.Emit(core.KV{Key: k, Value: v})
-}
-
-type identityReducer struct{}
-
-func (identityReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	for _, v := range values {
-		if err := out.Emit(core.KV{Key: key, Value: v}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// probeMRWordCount drives the map-side sort buffer hard: a 1 KiB sort
-// buffer forces many spills per map task and MergeFactor 2 forces
-// multi-pass merging.
-func probeMRWordCount(withCombiner bool) {
-	c := newCluster(3, core.Config{})
-	defer c.Close()
-	if err := c.FS().WriteFile("in/corpus.txt", []byte(corpus(800)), -1); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	eng := mapreduce.NewEngine(c, mapreduce.Config{
-		SortBufferBytes: 1 << 10,
-		MergeFactor:     2,
-		DefaultReduces:  3,
-	})
-	job := mapreduce.Job{
-		Name:          "wc",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NewMapper:     func() mapreduce.Mapper { return wcMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return sumReducer{} },
-	}
+	defer r.Close()
 	label := "mr-wordcount"
 	if withCombiner {
-		job.NewCombiner = func() mapreduce.Reducer { return sumReducer{} }
 		label = "mr-wordcount+comb"
 	}
-	if _, err := eng.Run(job); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	printCounters(label, c.Metrics(),
+	printCounters(label, r,
 		"mr.spills", "mr.spill.bytes", "mr.merge.passes", "mr.shuffle.bytes",
 		"mr.reduce.disk.merges", "disk.read.bytes", "disk.write.bytes")
-	fmt.Printf("%s: output=%s\n", label, hashHDFSOutput(c, "out/"))
+	printHash(label, r)
 }
 
-// probeMRTeraSort exercises the reduce-side external merge: a small
-// reduce heap pushes the fetched segments past heap/2 so the reduce
-// tasks merge from disk.
-func probeMRTeraSort() {
-	c := newCluster(3, core.Config{})
-	defer c.Close()
-	if err := c.FS().WriteFile("in/tera.txt", []byte(teraLines(3000)), -1); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	eng := mapreduce.NewEngine(c, mapreduce.Config{
-		SortBufferBytes: 4 << 10,
-		MergeFactor:     3,
-		DefaultReduces:  2,
-		ReduceHeapBytes: 32 << 10,
-	})
-	job := mapreduce.Job{
-		Name:          "tera",
-		InputPrefixes: []string{"in/"},
-		Output:        "tout",
-		NewMapper:     func() mapreduce.Mapper { return teraMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return identityReducer{} },
-	}
-	if _, err := eng.Run(job); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	printCounters("mr-terasort", c.Metrics(),
-		"mr.spills", "mr.spill.bytes", "mr.merge.passes", "mr.shuffle.bytes",
-		"mr.reduce.disk.merges", "disk.read.bytes", "disk.write.bytes")
-	fmt.Printf("mr-terasort: output=%s\n", hashHDFSOutput(c, "tout/"))
-}
-
-type probeSumReduce struct{}
-
-func (probeSumReduce) Reduce(key string, values []any, ctx core.Context) error {
-	var total int64
-	for _, v := range values {
-		total += v.(int64)
-	}
-	return ctx.Emit(core.KV{Key: key, Value: total})
-}
-
-// probeHAMRReduceSpill drives the core reduce accumulator past a tiny
-// memory budget so every node spills sorted runs and merges them back.
-func probeHAMRReduceSpill() {
-	c := newCluster(2, core.Config{MemoryBudget: 4 << 10})
-	defer c.Close()
-	files, err := hamrapps.DistributeLocalText(c, "wc", []byte(corpus(600)), 4)
+func probeMRTeraSort(p bench.Profile) {
+	r, err := p.SortTeraSort()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
-	g := core.NewGraph("spillwc")
-	sink := core.NewCollectSink()
-	ld, _ := g.AddLoader("load", &hamrapps.LocalTextLoader{Files: files})
-	mp, _ := g.AddMap("split", hamrapps.SplitWords{})
-	rd, _ := g.AddReduce("count", probeSumReduce{})
-	sk, _ := g.AddSink("out", sink)
-	for _, e := range [][2]int{{ld, mp}, {mp, rd}, {rd, sk}} {
-		if err := g.Connect(e[0], e[1]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	defer r.Close()
+	printCounters("mr-terasort", r,
+		"mr.spills", "mr.spill.bytes", "mr.merge.passes", "mr.shuffle.bytes",
+		"mr.reduce.disk.merges", "disk.read.bytes", "disk.write.bytes")
+	printHash("mr-terasort", r)
+}
+
+func probeHAMRReduceSpill(p bench.Profile) {
+	r, err := p.SortReduceSpill()
+	if err != nil {
+		fatal(err)
 	}
-	if _, err := c.Run(g); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	printCounters("hamr-reduce-spill", c.Metrics(),
+	defer r.Close()
+	printCounters("hamr-reduce-spill", r,
 		"reduce.spills", "reduce.spill.bytes", "disk.read.bytes", "disk.write.bytes")
-	pairs := sink.Sorted()
-	h := sha256.New()
-	for _, kv := range pairs {
-		fmt.Fprintf(h, "%s=%v\n", kv.Key, kv.Value)
+	hash, err := r.Hash()
+	if err != nil {
+		fatal(err)
 	}
-	fmt.Printf("hamr-reduce-spill: pairs=%d output=%x\n", len(pairs), h.Sum(nil)[:8])
-	// Spill runs must be cleaned up after the merge.
-	var leftover []string
-	for node, d := range c.Disks() {
-		if md, ok := d.(*storage.CostDisk); ok {
-			_ = md
-		}
-		for _, name := range d.List("") {
-			leftover = append(leftover, fmt.Sprintf("node%d:%s", node, name))
-		}
+	fmt.Printf("hamr-reduce-spill: %s\n", hash)
+	// Spill runs must be cleaned up after the merge: what is left is the
+	// job's own input parts.
+	leftover := 0
+	for _, d := range r.C.Disks() {
+		leftover += len(d.List(""))
 	}
-	sort.Strings(leftover)
-	fmt.Printf("hamr-reduce-spill: leftover-files=%d\n", len(leftover))
-	_ = transport.NodeID(0)
+	fmt.Printf("hamr-reduce-spill: leftover-files=%d\n", leftover)
 }
 
 func main() {
 	flag.Parse()
-	probeMRWordCount(false)
-	probeMRWordCount(true)
-	probeMRTeraSort()
-	probeHAMRReduceSpill()
+	p := bench.Profile{VClock: *vclock}
+	probeMRWordCount(p, false)
+	probeMRWordCount(p, true)
+	probeMRTeraSort(p)
+	probeHAMRReduceSpill(p)
 }

@@ -19,23 +19,14 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
-	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
-	"github.com/hamr-go/hamr/internal/mapreduce"
-	"github.com/hamr-go/hamr/internal/metrics"
-	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/bench"
 	"github.com/hamr-go/hamr/internal/trace"
-	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 var vclock = flag.Bool("vclock", false, "pay modeled delays on a virtual clock instead of sleeping")
@@ -67,131 +58,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// newCluster builds the probe cluster (zero-delay cost-counting disks,
-// oversized YARN memory — the compressprobe discipline). withTrace
-// attaches a recorder stamping from the run's clock; without it the
-// cluster carries a nil tracer, the bit-identical path.
-func newCluster(nodes int, blockSize int64, coreCfg core.Config, withTrace bool) (*cluster.Cluster, *trace.Tracer) {
-	opts := cluster.Options{
-		NumNodes:      nodes,
-		Core:          coreCfg,
-		DiskModel:     &storage.CostModel{},
-		HDFSBlockSize: blockSize,
-		YarnMemMB:     1 << 20,
-	}
-	clk := vtime.Real()
-	if *vclock {
-		vc := vtime.NewVirtual(nodes).SetRealHold(vtime.Startup, true)
-		opts.Clock = vc
-		clk = vc
-	}
-	var tr *trace.Tracer
-	if withTrace {
-		tr = trace.New(nodes, clk)
-		opts.Trace = tr
-	}
-	c, err := cluster.New(opts)
-	if err != nil {
-		fatal(err)
-	}
-	return c, tr
-}
-
-func hashHDFSOutput(c *cluster.Cluster, prefix string) string {
-	h := sha256.New()
-	for _, name := range c.FS().List(prefix) {
-		data, err := c.FS().ReadFile(name, -1)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(h, "%s\n", name)
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))[:16]
-}
-
-func counterLine(reg *metrics.Registry, names []string) string {
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, reg.Counter(n).Value()))
-	}
-	return strings.Join(parts, " ")
-}
-
-type wcMapper struct{}
-
-func (wcMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	for _, w := range strings.Fields(kv.Value.(string)) {
-		if err := out.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type sumReducer struct{}
-
-func (sumReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	var total int64
-	for _, v := range values {
-		total += v.(int64)
-	}
-	return out.Emit(core.KV{Key: key, Value: total})
-}
-
-type teraMapper struct{}
-
-func (teraMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	line := kv.Value.(string)
-	if line == "" {
-		return nil
-	}
-	k, v, _ := strings.Cut(line, " ")
-	return out.Emit(core.KV{Key: k, Value: v})
-}
-
-type identityReducer struct{}
-
-func (identityReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	for _, v := range values {
-		if err := out.Emit(core.KV{Key: key, Value: v}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type probeSumReduce struct{}
-
-func (probeSumReduce) Reduce(key string, values []any, ctx core.Context) error {
-	var total int64
-	for _, v := range values {
-		total += v.(int64)
-	}
-	return ctx.Emit(core.KV{Key: key, Value: total})
-}
-
-// probeTaskStartup holds every container for a beat after allocation so
-// sibling allocations overlap and the least-loaded scheduler spreads the
-// reduces deterministically (see compressprobe for the full story).
-const probeTaskStartup = 2 * time.Millisecond
-
-func zipfCorpus() []byte {
-	return datagen.Text(datagen.TextConfig{Seed: 11, Vocabulary: 800, WordsPerLine: 10, Lines: 2200})
-}
-
-func teraLines(n int) []byte {
-	var sb strings.Builder
-	state := uint64(0x9E3779B97F4A7C15)
-	for i := 0; i < n; i++ {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		fmt.Fprintf(&sb, "%010x %08d-payload\n", state&0xFFFFFFFFFF, i)
-	}
-	return []byte(sb.String())
-}
-
 // probeResult carries one run's identity line, output hash and (for
 // trace-on runs) the recorder.
 type probeResult struct {
@@ -200,90 +66,35 @@ type probeResult struct {
 	tr   *trace.Tracer
 }
 
-func probeWordCount(withTrace bool) probeResult {
-	c, tr := newCluster(3, 64<<10, core.Config{}, withTrace)
-	defer c.Close()
-	if err := c.FS().WriteFile("in/corpus.txt", zipfCorpus(), -1); err != nil {
-		fatal(err)
-	}
-	eng := mapreduce.NewEngine(c, mapreduce.Config{
-		SortBufferBytes: 4 << 10,
-		MergeFactor:     2,
-		DefaultReduces:  3,
-		TaskStartup:     probeTaskStartup,
-	})
-	if _, err := eng.Run(mapreduce.Job{
-		Name:          "wc",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NewMapper:     func() mapreduce.Mapper { return wcMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return sumReducer{} },
-	}); err != nil {
-		fatal(err)
-	}
-	// Hash before snapshotting counters: reading the output back through
-	// HDFS charges disk.read.bytes, and the baseline lines include it.
-	hash := hashHDFSOutput(c, "out/")
-	return probeResult{counterLine(c.Metrics(), mrCounters), hash, tr}
-}
-
-func probeTeraSort(withTrace bool) probeResult {
-	c, tr := newCluster(3, 64<<10, core.Config{}, withTrace)
-	defer c.Close()
-	if err := c.FS().WriteFile("in/tera.txt", teraLines(12000), 0); err != nil {
-		fatal(err)
-	}
-	eng := mapreduce.NewEngine(c, mapreduce.Config{
-		SortBufferBytes: 8 << 10,
-		MergeFactor:     3,
-		DefaultReduces:  3,
-		ReduceHeapBytes: 32 << 10,
-		TaskStartup:     probeTaskStartup,
-	})
-	if _, err := eng.Run(mapreduce.Job{
-		Name:          "tera",
-		InputPrefixes: []string{"in/"},
-		Output:        "tout",
-		NewMapper:     func() mapreduce.Mapper { return teraMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return identityReducer{} },
-	}); err != nil {
-		fatal(err)
-	}
-	hash := hashHDFSOutput(c, "tout/")
-	return probeResult{counterLine(c.Metrics(), mrCounters), hash, tr}
-}
-
-func probeHAMRWordCount(withTrace bool) probeResult {
-	c, tr := newCluster(3, 64<<10, core.Config{
-		MemoryBudget: 4 << 10,
-		CoalesceAge:  50 * time.Millisecond,
-	}, withTrace)
-	defer c.Close()
-	files, err := hamrapps.DistributeLocalText(c, "wc", zipfCorpus(), 6)
+// probe runs one shuffle-family workload of the invariance kit
+// (internal/bench) with tracing off or on. Hash before snapshotting
+// counters: reading an MR output back through HDFS charges
+// disk.read.bytes, and the baseline lines include it.
+func probe(run func(bench.Profile) (*bench.KitRun, error), counters []string, withTrace bool) probeResult {
+	r, err := run(bench.Profile{VClock: *vclock, Trace: withTrace})
 	if err != nil {
 		fatal(err)
 	}
-	g := core.NewGraph("tracewc")
-	sink := core.NewCollectSink()
-	ld, _ := g.AddLoader("load", &hamrapps.LocalTextLoader{Files: files})
-	mp, _ := g.AddMap("split", hamrapps.SplitWords{})
-	rd, _ := g.AddReduce("count", probeSumReduce{})
-	sk, _ := g.AddSink("out", sink)
-	for _, e := range [][2]int{{ld, mp}, {mp, rd}, {rd, sk}} {
-		if err := g.Connect(e[0], e[1]); err != nil {
-			fatal(err)
-		}
-	}
-	if _, err := c.Run(g); err != nil {
+	defer r.Close()
+	hash, err := r.Hash()
+	if err != nil {
 		fatal(err)
 	}
-	pairs := sink.Sorted()
-	h := sha256.New()
-	for _, kv := range pairs {
-		fmt.Fprintf(h, "%s=%v\n", kv.Key, kv.Value)
-	}
-	hash := fmt.Sprintf("pairs=%d output=%s", len(pairs), fmt.Sprintf("%x", h.Sum(nil))[:16])
-	return probeResult{counterLine(c.Metrics(), hamrCounters), hash, tr}
+	return probeResult{r.Counters(counters...), hash, r.Tracer}
+}
+
+func probeWordCount(withTrace bool) probeResult {
+	return probe(bench.Profile.MRWordCount, mrCounters, withTrace)
+}
+
+func probeTeraSort(withTrace bool) probeResult {
+	return probe(bench.Profile.MRTeraSort, mrCounters, withTrace)
+}
+
+func probeHAMRWordCount(withTrace bool) probeResult {
+	return probe(func(p bench.Profile) (*bench.KitRun, error) {
+		return p.HAMRWordCount("tracewc")
+	}, hamrCounters, withTrace)
 }
 
 func main() {

@@ -32,7 +32,7 @@ func ChaosCheck(nodes int, seed int64, vclock bool) []string {
 		}
 		out = append(out, fmt.Sprintf("[%s] %s", verdict, fmt.Sprintf(format, args...)))
 	}
-	input := datagen.Text(datagen.TextConfig{Seed: 17, Vocabulary: 120, Lines: 600})
+	input := chaosText()
 
 	// MapReduce side: task kills and container revocations.
 	mrOut := func(fcfg *faults.Config) (map[string]int64, *cluster.Cluster, error) {
@@ -95,27 +95,11 @@ func ChaosCheck(nodes int, seed int64, vclock bool) []string {
 
 	// HAMR side: flowlet crashes plus message drop/dup/delay.
 	hamrOut := func(fcfg *faults.Config) ([]core.KV, *cluster.Cluster, error) {
-		opts := cluster.Options{
-			NumNodes: nodes,
-			Core:     core.Config{Workers: 2, CoalesceMsgs: -1},
-			Faults:   fcfg,
-		}
-		if vclock {
-			opts.Clock = vtime.NewVirtual(nodes)
-		}
-		c, err := cluster.New(opts)
+		c, files, err := chaosHAMRCluster(nodes, fcfg, vclock, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		files, err := hamrapps.DistributeLocalText(c, "words", input, 2*nodes)
-		if err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-		g, sink, err := hamrapps.BuildWordCount(hamrapps.WordCountOptions{
-			Loader:   &hamrapps.LocalTextLoader{Files: files},
-			Combiner: true,
-		})
+		g, sink, err := chaosWordCount(files)
 		if err != nil {
 			c.Close()
 			return nil, nil, err
@@ -135,10 +119,7 @@ func ChaosCheck(nodes int, seed int64, vclock bool) []string {
 		return out
 	}
 	hbc.Close()
-	hFaulted, hfc, err := hamrOut(&faults.Config{
-		Seed: seed, FlowletFire: 0.1, MsgDrop: 0.03, MsgDup: 0.02,
-		MsgDelay: 0.03, MsgDelayDur: 100 * time.Microsecond,
-	})
+	hFaulted, hfc, err := hamrOut(chaosHAMRFaults(seed))
 	if err != nil {
 		check(false, "hamr chaos run (seed %d): %v", seed, err)
 	} else {
@@ -178,4 +159,51 @@ func parseTSV(data []byte) []tsvKV {
 		}
 	}
 	return kvs
+}
+
+// chaosText is the input of both engines' recovery checks.
+func chaosText() []byte {
+	return datagen.Text(datagen.TextConfig{Seed: 17, Vocabulary: 120, Lines: 600})
+}
+
+// chaosHAMRFaults is the flowlet-engine fault mix: crashed flowlet fires
+// plus dropped, duplicated and delayed messages.
+func chaosHAMRFaults(seed int64) *faults.Config {
+	return &faults.Config{
+		Seed: seed, FlowletFire: 0.1, MsgDrop: 0.03, MsgDup: 0.02,
+		MsgDelay: 0.03, MsgDelayDur: 100 * time.Microsecond,
+	}
+}
+
+// chaosHAMRCluster builds the flowlet-engine chaos cluster and spreads
+// chaosText over 2*nodes local files, returning the loader file map.
+func chaosHAMRCluster(nodes int, fcfg *faults.Config, vclock bool, maxJobs int) (*cluster.Cluster, map[int][]string, error) {
+	opts := cluster.Options{
+		NumNodes:          nodes,
+		Core:              core.Config{Workers: 2, CoalesceMsgs: -1},
+		Faults:            fcfg,
+		MaxConcurrentJobs: maxJobs,
+	}
+	if vclock {
+		opts.Clock = vtime.NewVirtual(nodes)
+	}
+	c, err := cluster.New(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	files, err := hamrapps.DistributeLocalText(c, "words", chaosText(), 2*nodes)
+	if err != nil {
+		c.Close()
+		return nil, nil, err
+	}
+	return c, files, nil
+}
+
+// chaosWordCount builds the combiner WordCount graph the HAMR chaos runs
+// submit.
+func chaosWordCount(files map[int][]string) (*core.Graph, *core.CollectSink, error) {
+	return hamrapps.BuildWordCount(hamrapps.WordCountOptions{
+		Loader:   &hamrapps.LocalTextLoader{Files: files},
+		Combiner: true,
+	})
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
@@ -73,14 +72,9 @@ func runMRTimeline(t *testing.T, vc *vtime.VirtualClock) traceRun {
 		SortBufferBytes: 2 << 10,
 		MergeFactor:     2,
 	})
-	if _, err := eng.Run(mapreduce.Job{
-		Name:          "tracewc",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NumReduces:    1,
-		NewMapper:     func() mapreduce.Mapper { return wcInvMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return sumInvReducer{} },
-	}); err != nil {
+	job := wordCountJob(false)
+	job.Name, job.NumReduces = "tracewc", 1
+	if _, err := eng.Run(job); err != nil {
 		t.Fatal(err)
 	}
 	return captureTrace(t, tr)
@@ -164,41 +158,6 @@ func TestTraceDeterministicTimelineHAMR(t *testing.T) {
 
 // ---- overlap regression (the paper's core scheduling claim) ----
 
-// teraTestLines generates n sortable lines from a fixed xorshift stream.
-func teraTestLines(n int) []byte {
-	var buf bytes.Buffer
-	x := uint64(0x2545F4914F6CDD1D)
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		fmt.Fprintf(&buf, "%016x%012d\n", x, i)
-	}
-	return buf.Bytes()
-}
-
-type teraCutMapper struct{}
-
-func (teraCutMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	line := kv.Value.(string)
-	k := line
-	if len(k) > 10 {
-		k = k[:10]
-	}
-	return out.Emit(core.KV{Key: k, Value: line})
-}
-
-type teraIdentityReducer struct{}
-
-func (teraIdentityReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	for _, v := range values {
-		if err := out.Emit(core.KV{Key: key, Value: v}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // teraCutFlowlet is the flowlet-engine TeraSort mapper: cut the sort key.
 type teraCutFlowlet struct{}
 
@@ -249,7 +208,7 @@ func TestTraceOverlapRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := teraTestLines(3000)
+	input := teraLines(3000)
 	if err := mc.FS().WriteFile("in/tera", input, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +221,8 @@ func TestTraceOverlapRegression(t *testing.T) {
 		InputPrefixes: []string{"in/"},
 		Output:        "out",
 		NumReduces:    3,
-		NewMapper:     func() mapreduce.Mapper { return teraCutMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return teraIdentityReducer{} },
+		NewMapper:     func() mapreduce.Mapper { return teraMapper{} },
+		NewReducer:    func() mapreduce.Reducer { return identityReducer{} },
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,12 @@ const (
 	ServiceCluster = "cluster"
 )
 
+// compressNsPerByte is the modeled CPU cost per raw byte charged (and
+// slept) on both block encode and decode, pricing the CPU-for-IO trade.
+// It is scaled by NetModel.TimeScale like every other data-proportional
+// delay.
+const compressNsPerByte = 0.5
+
 // Options configures a simulated cluster.
 type Options struct {
 	// NumNodes is the number of worker nodes (the paper used 15 workers).
@@ -75,16 +81,10 @@ type Options struct {
 	CompressSpill   bool
 	CompressShuffle bool
 	// CompressCodec names the block codec ("lz", "flate", "none"); empty
-	// defaults to "lz". "none" turns both sites back off.
+	// defaults to "lz". "none" turns both sites back off. Every framed
+	// block is compressed, and encode and decode each charge
+	// compressNsPerByte of modeled CPU.
 	CompressCodec string
-	// CompressMinBytes stores blocks smaller than this raw instead of
-	// compressing them (0 = compress everything framed).
-	CompressMinBytes int
-	// CompressNsPerByte is the modeled CPU cost per raw byte charged (and
-	// slept) on both encode and decode, pricing the CPU-for-IO trade. Zero
-	// picks a default of 0.5 ns/byte (scaled by NetModel.TimeScale like
-	// every other data-proportional delay); negative disables the model.
-	CompressNsPerByte float64
 	// Clock pays every modeled delay in the cluster — disk, network,
 	// compression CPU, contention — and is threaded to both engines (the
 	// MapReduce baseline reads it via Cluster.Clock for its startup and
@@ -207,11 +207,8 @@ func New(opts Options) (*Cluster, error) {
 			// Counters exist only when a codec is on — with compression off
 			// the registry (and every report built from it) is bit-identical
 			// to a compression-less build, the HDFSCacheMB discipline.
-			nsPerByte := opts.CompressNsPerByte
-			if nsPerByte == 0 {
-				nsPerByte = 0.5
-			}
-			if s := netModel.TimeScale; s != 0 && s != 1 && nsPerByte > 0 {
+			nsPerByte := compressNsPerByte
+			if s := netModel.TimeScale; s != 0 && s != 1 {
 				nsPerByte *= s
 			}
 			cin := c.reg.Counter("compress.in.bytes")
@@ -220,8 +217,7 @@ func New(opts Options) (*Cluster, error) {
 			ctime := c.reg.Timer("compress.time")
 			if opts.CompressSpill {
 				c.spillCC = compress.Config{
-					Codec:    codec,
-					MinBytes: opts.CompressMinBytes,
+					Codec: codec,
 					Meter: &compress.Meter{
 						In: cin, Out: cout, Skipped: cskip,
 						SiteOut:   c.reg.Counter("spill.compressed.bytes"),
@@ -234,8 +230,7 @@ func New(opts Options) (*Cluster, error) {
 			}
 			if opts.CompressShuffle {
 				opts.Core.ShuffleCompress = compress.Config{
-					Codec:    codec,
-					MinBytes: opts.CompressMinBytes,
+					Codec: codec,
 					Meter: &compress.Meter{
 						In: cin, Out: cout, Skipped: cskip,
 						SiteOut:   c.reg.Counter("net.compressed.bytes"),

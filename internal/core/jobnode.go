@@ -222,7 +222,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		es := &edgeState{
 			idx:  i,
 			edge: e,
-			buf:  newBinBuffer(numNodes, rt.cfg.BinSize, rt.cfg.BinBytes),
+			buf:  newBinBuffer(numNodes, rt.cfg.BinSize, binBytes),
 			cred: newCredit(rt.cfg.FlowControlWindow),
 		}
 		jn.edges = append(jn.edges, es)
@@ -258,7 +258,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 // fireTask launches one fine-grain flowlet task under the fault injector.
 // The injector may crash the task at its start — before fn has run, so
 // before any side effects — in which case the task is re-fired with the
-// next attempt number. Re-fires are bounded by MaxRefires; an exhausted
+// next attempt number. Re-fires are bounded by maxRefires; an exhausted
 // task returns the injected error, which aborts the job through the normal
 // failure path with the original cause intact. site must be a
 // job-relative identity (flowlet name + node + task index) so the same
@@ -267,7 +267,7 @@ func (jn *jobNode) fireTask(site string, fn func() error) error {
 	inj := jn.rt.cfg.Faults
 	for attempt := 0; ; attempt++ {
 		if err := inj.FlowletFire(site, attempt); err != nil {
-			if attempt >= jn.rt.cfg.MaxRefires {
+			if attempt >= maxRefires {
 				return err
 			}
 			jn.mRefires.Inc()
@@ -849,7 +849,7 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 		mu       sync.Mutex
 		firstErr error
 	)
-	batch := make([]group, 0, jn.rt.cfg.ReduceTaskKeys)
+	batch := make([]group, 0, reduceTaskKeys)
 	// Bound in-flight batches so a huge key space does not re-materialize
 	// in memory while tasks queue.
 	inflight := par.NewSemaphore(jn.rt.cfg.Workers * 2)
@@ -897,11 +897,11 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 			return ErrJobAborted
 		}
 		batch = append(batch, group{key, values})
-		if len(batch) >= jn.rt.cfg.ReduceTaskKeys {
+		if len(batch) >= reduceTaskKeys {
 			if !submit(batch) {
 				return ErrJobAborted
 			}
-			batch = make([]group, 0, jn.rt.cfg.ReduceTaskKeys)
+			batch = make([]group, 0, reduceTaskKeys)
 		}
 		return nil
 	})

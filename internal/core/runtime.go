@@ -28,8 +28,6 @@ type Config struct {
 	// BinSize is the maximum number of pairs per bin, the engine's
 	// scheduling quantum.
 	BinSize int
-	// BinBytes caps a bin's payload size in bytes.
-	BinBytes int64
 	// FlowControlWindow is the number of bins that may be outstanding per
 	// edge per producing node before producers stall (§2). Zero disables
 	// flow control (used by the ablation benchmark).
@@ -41,9 +39,6 @@ type Config struct {
 	// ("the number of concurrent loader tasks can be decreased to control
 	// the amount of input data", §2).
 	LoaderConcurrency int
-	// ReduceTaskKeys is the number of key groups batched into one
-	// fine-grain reduce task.
-	ReduceTaskKeys int
 	// PartialStripes is the number of lock stripes protecting
 	// partial-reduce state. Few distinct keys concentrate on few stripes,
 	// reproducing the shared-variable contention of §5.2.
@@ -63,19 +58,15 @@ type Config struct {
 	// consult it at their start — before any side effects — and a crashed
 	// task is re-fired with the next attempt number.
 	Faults *faults.Injector
-	// MaxRefires bounds re-fires of one crashed flowlet task; once
-	// exhausted the original injected error aborts the job through the
-	// normal failure path (default 3).
-	MaxRefires int
-	// CoalesceBytes / CoalesceMsgs / CoalesceAge configure the node's
-	// outbound transport.Coalescer, which packs small same-destination
-	// messages (bin flushes, acks) into one framed wire message. Zero
-	// fields take the transport defaults (16 KiB / 32 msgs / 500 µs);
-	// CoalesceMsgs < 0 disables coalescing entirely (sends go straight to
-	// the network, used by ablations and tests that count raw messages).
-	CoalesceBytes int64
-	CoalesceMsgs  int
-	CoalesceAge   time.Duration
+	// CoalesceMsgs / CoalesceAge configure the node's outbound
+	// transport.Coalescer, which packs small same-destination messages
+	// (bin flushes, acks) into one framed wire message of at most the
+	// transport's default byte size. Zero fields take the transport
+	// defaults (32 msgs / 500 µs); CoalesceMsgs < 0 disables coalescing
+	// entirely (sends go straight to the network, used by ablations and
+	// tests that count raw messages).
+	CoalesceMsgs int
+	CoalesceAge  time.Duration
 	// Clock pays the runtime's modeled delays (the contention model, the
 	// coalescer's age timer). Nil defaults to the real clock — real
 	// sleeps, paced per stripe by vtime.Pacer. The cluster threads its
@@ -107,28 +98,32 @@ func (c *Config) FillDefaults() {
 	if c.BinSize <= 0 {
 		c.BinSize = 512
 	}
-	if c.BinBytes <= 0 {
-		c.BinBytes = 128 << 10
-	}
 	if c.FlowControlWindow < 0 {
 		c.FlowControlWindow = 0
 	}
 	if c.LoaderConcurrency <= 0 {
 		c.LoaderConcurrency = 2
 	}
-	if c.ReduceTaskKeys <= 0 {
-		c.ReduceTaskKeys = 64
-	}
 	if c.PartialStripes <= 0 {
 		c.PartialStripes = 64
-	}
-	if c.MaxRefires <= 0 {
-		c.MaxRefires = 3
 	}
 	if c.Clock == nil {
 		c.Clock = vtime.Real()
 	}
 }
+
+// Fixed engine granularity.
+const (
+	// binBytes caps a bin's payload size in bytes.
+	binBytes = 128 << 10
+	// reduceTaskKeys is the number of key groups batched into one
+	// fine-grain reduce task.
+	reduceTaskKeys = 64
+	// maxRefires bounds re-fires of one crashed flowlet task; once
+	// exhausted the original injected error aborts the job through the
+	// normal failure path.
+	maxRefires = 3
+)
 
 // Message kinds used on the transport.
 const (
@@ -221,7 +216,6 @@ func NewNodeRuntime(id int, cfg Config, net transport.Network, disk storage.Disk
 	}
 	if cfg.CoalesceMsgs >= 0 {
 		rt.co = transport.NewCoalescer(net, transport.CoalescerConfig{
-			MaxBytes: cfg.CoalesceBytes,
 			MaxMsgs:  cfg.CoalesceMsgs,
 			MaxAge:   cfg.CoalesceAge,
 			Compress: cfg.ShuffleCompress,

@@ -287,8 +287,8 @@ func TestSerializeUpdatesSingleStripe(t *testing.T) {
 func TestConfigFillDefaults(t *testing.T) {
 	var c Config
 	c.FillDefaults()
-	if c.Workers <= 0 || c.BinSize <= 0 || c.BinBytes <= 0 ||
-		c.LoaderConcurrency <= 0 || c.ReduceTaskKeys <= 0 || c.PartialStripes <= 0 {
+	if c.Workers <= 0 || c.BinSize <= 0 ||
+		c.LoaderConcurrency <= 0 || c.PartialStripes <= 0 {
 		t.Errorf("defaults incomplete: %+v", c)
 	}
 	c2 := Config{Workers: 7, BinSize: 11}
