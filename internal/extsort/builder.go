@@ -48,6 +48,7 @@ type BuilderConfig[T any] struct {
 type RunBuilder[T any] struct {
 	cfg     BuilderConfig[T]
 	buf     []T
+	idx     []int32 // sort scratch, kept across spills
 	bytes   int64
 	count   int64
 	runs    []string
@@ -90,7 +91,7 @@ func (b *RunBuilder[T]) Spill() error {
 	if b.cfg.Disk == nil {
 		return ErrNoDisk
 	}
-	SortStable(b.buf, b.cfg.Cmp)
+	b.idx = sortStable(b.buf, b.cfg.Cmp, b.idx)
 	out := b.buf
 	if b.cfg.Transform != nil {
 		var err error

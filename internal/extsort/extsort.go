@@ -37,7 +37,50 @@ type Compare[T any] func(a, b T) int
 // SortStable stably sorts s by cmp. Records that compare equal keep
 // their arrival order, which is what makes run files preserve
 // within-key ordering.
-func SortStable[T any](s []T, cmp Compare[T]) { slices.SortStableFunc(s, cmp) }
+func SortStable[T any](s []T, cmp Compare[T]) { sortStable(s, cmp, nil) }
+
+// sortStable is SortStable through a reusable index scratch, returned
+// (possibly grown) for the next call. It pdqsorts the arrival indices
+// with ties broken by index — exactly the stable order, at unstable-sort
+// speed and without moving records during the sort — then applies the
+// permutation to s in place by following its cycles. len(s) must fit
+// an int32.
+func sortStable[T any](s []T, cmp Compare[T], idx []int32) []int32 {
+	n := len(s)
+	if n < 2 {
+		return idx
+	}
+	idx = slices.Grow(idx[:0], n)[:n]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp(s[a], s[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	// Position i takes the record that arrived at idx[i]. Each cycle is
+	// walked once; a visited position is marked by idx[j] = j.
+	for i := range idx {
+		if int(idx[i]) == i {
+			continue
+		}
+		first := s[i]
+		j := i
+		for {
+			k := int(idx[j])
+			idx[j] = int32(j)
+			if k == i {
+				s[j] = first
+				break
+			}
+			s[j] = s[k]
+			j = k
+		}
+	}
+	return idx
+}
 
 // Source yields records in nondecreasing order; Next returns io.EOF
 // when exhausted. Run files (RunReader) and sorted in-memory slices

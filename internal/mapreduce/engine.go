@@ -188,6 +188,10 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 
 	// ---- Map phase ----
 	mapResults := make([]*mapResult, len(splits))
+	// Intermediate map outputs are dropped on every return path — success,
+	// failure or cancellation — so no completed attempt's segments outlive
+	// the job.
+	defer e.cleanupSegments(tag, tag+"/job:"+job.Name, mapResults)
 	// specWG tracks speculative loser attempts still draining; they must
 	// finish (and their output be discarded) before the job returns.
 	var specWG sync.WaitGroup
@@ -245,12 +249,46 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	}
 	res.ShuffleBytes = shuffleBytes.Load()
 	res.OutputFiles = e.c.FS().List(job.Output + "/")
-
-	// Clean intermediate map outputs.
-	for _, mr := range mapResults {
-		e.removeSegments(mr)
-	}
 	return res, nil
+}
+
+// cleanupSegments removes every map attempt's output segments at job
+// end. Each node's segments are removed on a goroutine of their own, so
+// the removes overlap across nodes the way the clock's per-node disk
+// lanes already charge them; it returns once every node is done. With
+// tracing on, each node's share is one "cleanup" span under the job.
+func (e *Engine) cleanupSegments(tag, parent string, maps []*mapResult) {
+	byNode := make([][]string, e.c.NumNodes())
+	for _, mr := range maps {
+		if mr == nil {
+			continue
+		}
+		for _, seg := range mr.segments {
+			if seg.name != "" {
+				byNode[seg.node] = append(byNode[seg.node], seg.name)
+			}
+		}
+	}
+	tr := e.c.Tracer()
+	g := par.NewGroup(0)
+	for node, names := range byNode {
+		if len(names) == 0 {
+			continue
+		}
+		g.Go(func() error {
+			var sp trace.Span
+			if tr.Enabled() {
+				sp = tr.Start(node, parent, fmt.Sprintf("%s/cleanup:node%d", tag, node), "cleanup", "disk")
+			}
+			disk := e.c.Disk(node)
+			for _, name := range names {
+				_ = disk.Remove(name)
+			}
+			sp.End()
+			return nil
+		})
+	}
+	_ = g.Wait()
 }
 
 // specAttemptBase numbers speculative backup attempts so their fault dice
@@ -376,8 +414,7 @@ func (e *Engine) runMapAttempts(ctx context.Context, job Job, jobID int64, taskI
 	return first.mr, nil
 }
 
-// removeSegments drops a map attempt's output segments (job cleanup and
-// speculative losers).
+// removeSegments drops a speculative loser's output segments.
 func (e *Engine) removeSegments(mr *mapResult) {
 	if mr == nil {
 		return

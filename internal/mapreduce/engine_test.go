@@ -2,13 +2,17 @@ package mapreduce
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
+	"github.com/hamr-go/hamr/internal/trace"
+	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 func newTestCluster(t testing.TB, nodes int) *cluster.Cluster {
@@ -311,5 +315,56 @@ func TestMapperFailurePropagates(t *testing.T) {
 	}
 	if _, err := e.Run(job); err == nil || !strings.Contains(err.Error(), "bad record") {
 		t.Fatalf("mapper failure not propagated: %v", err)
+	}
+}
+
+// TestCleanupTracedPerNode: with tracing on, job-end segment cleanup is
+// one "cleanup" disk span per node that ran a map task, parented to the
+// job span and starting only after every reduce task has ended.
+func TestCleanupTracedPerNode(t *testing.T) {
+	tr := trace.New(3, vtime.Real())
+	c, err := cluster.New(cluster.Options{NumNodes: 3, HDFSBlockSize: 4 << 10, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writeCorpus(t, c, "in/corpus.txt", 400)
+	if _, err := NewEngine(c, Config{}).Run(wordCountJob(true)); err != nil {
+		t.Fatal(err)
+	}
+	evs := tr.Events()
+	var jobID string
+	for _, ev := range evs {
+		if ev.Phase == "job" {
+			jobID = ev.ID
+		}
+	}
+	mapNodes := map[int]bool{}
+	cleaned := map[int]bool{}
+	var reduceEnd, cleanupBegin time.Duration = 0, -1
+	for _, ev := range evs {
+		switch ev.Phase {
+		case "map":
+			mapNodes[ev.Node] = true
+		case "reduce":
+			reduceEnd = max(reduceEnd, ev.Begin+ev.Dur)
+		case "cleanup":
+			if ev.Res != "disk" || cleaned[ev.Node] {
+				t.Errorf("cleanup span %+v: want one disk span per node", ev)
+			}
+			cleaned[ev.Node] = true
+			if ev.Parent != jobID {
+				t.Errorf("cleanup span parent %q, want job %q", ev.Parent, jobID)
+			}
+			if cleanupBegin < 0 || ev.Begin < cleanupBegin {
+				cleanupBegin = ev.Begin
+			}
+		}
+	}
+	if len(cleaned) == 0 || !maps.Equal(cleaned, mapNodes) {
+		t.Fatalf("cleanup spans on nodes %v, want the map nodes %v", cleaned, mapNodes)
+	}
+	if cleanupBegin < reduceEnd {
+		t.Errorf("cleanup began at %v, before the last reduce ended at %v", cleanupBegin, reduceEnd)
 	}
 }
