@@ -9,11 +9,11 @@ import (
 )
 
 // Microbenchmarks for the two hottest engine loops (emit→bin and the
-// partial-reduce fold) and the value codec. Each family carries a
-// "-baseline" variant reproducing the pre-optimization implementation
-// (whole-edge mutex, process-global gob lock, per-bin map grouping) so
+// partial-reduce fold) and the value codec. The emit and codec families
+// carry a "-baseline" variant reproducing the pre-optimization
+// implementation (whole-edge mutex, process-global gob lock) so
 // before/after is measured in one run; EXPERIMENTS.md records the
-// numbers.
+// numbers, including the retired per-bin map fold's last figures.
 
 // emitBuffer abstracts the sharded binBuffer and the legacy single-mutex
 // implementation for side-by-side benchmarking.
@@ -209,8 +209,8 @@ func BenchmarkCodec(b *testing.B) {
 }
 
 // benchPartialNode builds a single-node jobNode with a loader -> partial
-// reduce graph so applyPartialBin runs against real flowlet state.
-func benchPartialNode(b *testing.B, stripes int) (*flowletState, func()) {
+// reduce graph so the fold runs against real flowlet state.
+func benchPartialNode(b *testing.B, stripes int) (*jobNode, *flowletState, func()) {
 	b.Helper()
 	cfg := Config{Workers: 4, PartialStripes: stripes}
 	nodes, cleanup := newTestCluster(b, 1, cfg)
@@ -237,61 +237,31 @@ func benchPartialNode(b *testing.B, stripes int) (*flowletState, func()) {
 		b.Fatal(err)
 	}
 	jn := newJobNode(nodes[0], g, 1, 1)
-	return jn.flowlets[pr], cleanup
+	return jn, jn.flowlets[pr], cleanup
 }
 
-// legacyApplyPartialBin is the pre-change fold: a map[int][]KV allocated
-// and grown per bin. Model costs are off in the benchmark, so the work
-// measured is exactly the harness overhead the rewrite removes.
-func legacyApplyPartialBin(fs *flowletState, bin *Bin) error {
-	nstripes := len(fs.stripes)
-	var batches map[int][]KV
-	if nstripes == 1 {
-		batches = map[int][]KV{0: bin.KVs}
-	} else {
-		batches = make(map[int][]KV)
-		for _, kv := range bin.KVs {
-			idx := int(HashKey(kv.Key) % uint64(nstripes))
-			batches[idx] = append(batches[idx], kv)
-		}
-	}
-	for idx, kvs := range batches {
-		if err := fs.applyStripeBatch(&fs.stripes[idx], kvs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BenchmarkPartialReduceStripes measures folding bins into striped
-// partial-reduce state, scratch-grouped vs the per-bin map baseline.
+// BenchmarkPartialReduceStripes measures folding remote bins into striped
+// partial-reduce state through the delivery path: group by stripe in
+// place, queue each batch on its stripe, drain, ack. The node's pool is
+// closed first, so every stripe hand-off falls back to an inline drain
+// and the loop runs single-threaded; model costs are off, so the work
+// measured is the engine's own.
 func BenchmarkPartialReduceStripes(b *testing.B) {
-	mkBin := func(n int) *Bin {
-		kvs := make([]KV, n)
-		for i := range kvs {
-			kvs[i] = KV{Key: fmt.Sprintf("key-%04d", i%997), Value: int64(1)}
-		}
-		return &Bin{KVs: kvs}
+	jn, fs, cleanup := benchPartialNode(b, 64)
+	defer cleanup()
+	jn.rt.pool.Close()
+	kvs := make([]KV, 512)
+	for i := range kvs {
+		kvs[i] = KV{Key: fmt.Sprintf("key-%04d", i%997), Value: int64(1)}
 	}
-	for _, impl := range []struct {
-		name  string
-		apply func(*flowletState, *Bin) error
-	}{
-		{"scratch", (*flowletState).applyPartialBin},
-		{"map-baseline", legacyApplyPartialBin},
-	} {
-		impl := impl
-		b.Run(impl.name, func(b *testing.B) {
-			fs, cleanup := benchPartialNode(b, 64)
-			defer cleanup()
-			bin := mkBin(512)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := impl.apply(fs, bin); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	bin := &Bin{KVs: kvs}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jn.delegatePartialBin(fs, bin)
+	}
+	b.StopTimer()
+	if err := jn.Error(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -91,6 +91,57 @@ type prStripe struct {
 	charged time.Duration
 	// pace pays the stripe's real-clock contention charges (under mu).
 	pace vtime.Pacer
+
+	// Remote bins do not wait on mu: each of their stripe batches is
+	// queued here and applied by the stripe's single active drainer, so
+	// a busy stripe holds one pool worker, not every worker that has a
+	// batch for it. qmu guards the queue; it is never held across an
+	// apply. Popped slots are cleared so applied batches are not kept.
+	qmu    sync.Mutex
+	queue  []stripeBatch
+	qhead  int
+	active bool // a drainer owns the stripe (under qmu)
+	drain  par.Task
+}
+
+// stripeBatch is one remote bin's pairs for one stripe.
+type stripeBatch struct {
+	kvs []KV
+	t   *binTicket
+}
+
+// binTicket counts a remote bin's stripe batches still to be applied;
+// whoever lands the last one finishes the bin (processed, ack).
+type binTicket struct {
+	bin  *Bin
+	left atomic.Int32
+}
+
+// push queues b and reports whether the stripe was idle, in which case
+// the caller now owns its draining.
+func (st *prStripe) push(b stripeBatch) bool {
+	st.qmu.Lock()
+	st.queue = append(st.queue, b)
+	activated := !st.active
+	st.active = true
+	st.qmu.Unlock()
+	return activated
+}
+
+// pop takes the oldest queued batch; on an empty queue it marks the
+// stripe idle and reports false.
+func (st *prStripe) pop() (stripeBatch, bool) {
+	st.qmu.Lock()
+	defer st.qmu.Unlock()
+	if st.qhead == len(st.queue) {
+		st.queue, st.qhead = st.queue[:0], 0
+		st.active = false
+		return stripeBatch{}, false
+	}
+	b := st.queue[st.qhead]
+	st.queue[st.qhead] = stripeBatch{}
+	st.qhead++
+	return b, true
 }
 
 // flowletState is the per-node state of one flowlet: lifecycle counters
@@ -243,7 +294,9 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 			}
 			fs.stripes = make([]prStripe, n)
 			for i := range fs.stripes {
-				fs.stripes[i].state = make(map[string]any)
+				st := &fs.stripes[i]
+				st.state = make(map[string]any)
+				st.drain = func() { jn.drainStripe(fs, st) }
 			}
 			fs.contention = reg.Timer("partial.contention")
 		case KindReduce:
@@ -420,6 +473,9 @@ func (jn *jobNode) drainPending(fs *flowletState) {
 			return
 		}
 		bin := fs.pending[0]
+		// Clear the slot so the re-sliced backing array does not keep the
+		// popped bin and its pairs reachable.
+		fs.pending[0] = nil
 		fs.pending = fs.pending[1:]
 		fs.mu.Unlock()
 		jn.rt.pool.Submit(func() { jn.processBin(fs, bin, false) })
@@ -428,10 +484,27 @@ func (jn *jobNode) drainPending(fs *flowletState) {
 
 func (jn *jobNode) processBin(fs *flowletState, bin *Bin, local bool) {
 	if !jn.failed.Load() {
-		if err := jn.applyBin(fs, bin); err != nil && !errors.Is(err, ErrJobAborted) {
-			jn.fail(fmt.Errorf("flowlet %q on node %d: %w", fs.spec.Name, jn.node, err))
+		if fs.spec.Kind == KindPartialReduce && !local {
+			jn.delegatePartialBin(fs, bin)
+			return
+		}
+		if err := jn.applyBin(fs, bin); err != nil {
+			jn.failFlowlet(fs, err)
 		}
 	}
+	jn.binDone(fs, bin, local)
+}
+
+// failFlowlet aborts the job with an error returned by fs's user code.
+func (jn *jobNode) failFlowlet(fs *flowletState, err error) {
+	if !errors.Is(err, ErrJobAborted) {
+		jn.fail(fmt.Errorf("flowlet %q on node %d: %w", fs.spec.Name, jn.node, err))
+	}
+}
+
+// binDone accounts one fully applied bin: processed, then (for a remote
+// bin) the ack that frees the producer's credit, then the finish check.
+func (jn *jobNode) binDone(fs *flowletState, bin *Bin, local bool) {
 	fs.mu.Lock()
 	fs.processed++
 	fs.mu.Unlock()
@@ -488,11 +561,12 @@ func (jn *jobNode) applyBin(fs *flowletState, bin *Bin) error {
 
 // prScratch is the reusable working set for stripe-grouping one bin: a
 // per-KV stripe index, per-stripe counts/offsets, and a stripe-ordered
-// copy of the bin's pairs (a counting sort). Pooling it removes the
-// map[int][]KV plus per-stripe slice allocations the fold used to make
-// for every bin. Pool entries are not cleared between uses: at most a
-// few are live at once (one per concurrently folding worker) and each
-// holds at most one bin's worth of pairs.
+// copy of the bin's pairs (a counting sort) that is copied back over the
+// bin. Pooling it removes the map[int][]KV plus per-stripe slice
+// allocations the fold used to make for every bin. Pool entries are not
+// cleared between uses: at most a few are live at once (one per
+// concurrently grouping worker) and each holds at most one bin's worth
+// of pairs.
 type prScratch struct {
 	idx    []int32
 	counts []int32
@@ -517,22 +591,28 @@ func (sc *prScratch) grow(nkvs, nstripes int) {
 	}
 }
 
-// applyPartialBin folds one bin into the partial-reduce state. Updates
-// are grouped by lock stripe; each stripe batch is applied while holding
-// that stripe's lock, charging the modeled contended-update cost there
-// (§5.2). A skewed key space collapses onto few stripes and serializes;
-// a wide key space spreads across stripes and overlaps.
-func (fs *flowletState) applyPartialBin(bin *Bin) error {
+// groupStripes reorders kvs in place so each lock stripe's pairs are
+// contiguous (a counting sort through pooled scratch, copied back) and
+// calls fn with each non-empty stripe's batch in stripe order, stopping
+// at the first error. The batches alias kvs: the caller must own it, as
+// the receiver of a sealed bin does. A bin whose pairs all fall on one
+// stripe is passed through without the copy.
+func (fs *flowletState) groupStripes(kvs []KV, fn func(st *prStripe, batch []KV) error) error {
 	nstripes := len(fs.stripes)
 	if nstripes == 1 {
-		return fs.applyStripeBatch(&fs.stripes[0], bin.KVs)
+		return fn(&fs.stripes[0], kvs)
 	}
 	sc := prScratchPool.Get().(*prScratch)
-	sc.grow(len(bin.KVs), nstripes)
-	for i, kv := range bin.KVs {
+	sc.grow(len(kvs), nstripes)
+	for i, kv := range kvs {
 		idx := int32(HashKey(kv.Key) % uint64(nstripes))
 		sc.idx[i] = idx
 		sc.counts[idx]++
+	}
+	if len(kvs) > 0 && int(sc.counts[sc.idx[0]]) == len(kvs) {
+		s := sc.idx[0]
+		prScratchPool.Put(sc)
+		return fn(&fs.stripes[s], kvs)
 	}
 	// counts -> start offsets, then scatter pairs into stripe order.
 	var start int32
@@ -540,25 +620,83 @@ func (fs *flowletState) applyPartialBin(bin *Bin) error {
 		sc.counts[s] = start
 		start += c
 	}
-	for i, kv := range bin.KVs {
+	for i, kv := range kvs {
 		pos := sc.counts[sc.idx[i]]
 		sc.kvs[pos] = kv
 		sc.counts[sc.idx[i]] = pos + 1
 	}
+	copy(kvs, sc.kvs)
+	defer prScratchPool.Put(sc)
 	// After the scatter, counts[s] is the END offset of stripe s.
-	var err error
 	start = 0
-	for s := 0; s < nstripes; s++ {
-		end := sc.counts[s]
+	for s, end := range sc.counts {
 		if end > start {
-			if err = fs.applyStripeBatch(&fs.stripes[s], sc.kvs[start:end]); err != nil {
-				break
+			if err := fn(&fs.stripes[s], kvs[start:end]); err != nil {
+				return err
 			}
 		}
 		start = end
 	}
-	prScratchPool.Put(sc)
-	return err
+	return nil
+}
+
+// applyPartialBin folds one bin into the partial-reduce state
+// synchronously: each stripe batch is applied while holding that stripe's
+// lock, charging the modeled contended-update cost there (§5.2). A skewed
+// key space collapses onto few stripes and serializes; a wide key space
+// spreads across stripes and overlaps. Inline local bins take this path:
+// their emitter blocking on a busy stripe is the local back-pressure.
+func (fs *flowletState) applyPartialBin(bin *Bin) error {
+	return fs.groupStripes(bin.KVs, fs.applyStripeBatch)
+}
+
+// delegatePartialBin folds a remote bin without waiting on busy stripes:
+// each stripe batch joins its stripe's queue, and the bin is acked once
+// its last batch is applied. The worker drains the last stripe it found
+// idle itself and hands the others to the pool, draining them inline
+// only when the pool queue is full, so it never blocks in Submit. A busy
+// stripe thus costs its node one worker, however many bins it holds up.
+func (jn *jobNode) delegatePartialBin(fs *flowletState, bin *Bin) {
+	t := &binTicket{bin: bin}
+	t.left.Store(1) // held until every batch is queued
+	var mine *prStripe
+	// The callback only queues, so the walk cannot fail.
+	_ = fs.groupStripes(bin.KVs, func(st *prStripe, batch []KV) error {
+		t.left.Add(1)
+		if st.push(stripeBatch{kvs: batch, t: t}) {
+			if mine != nil && !jn.rt.pool.TrySubmit(mine.drain) {
+				jn.drainStripe(fs, mine)
+			}
+			mine = st
+		}
+		return nil
+	})
+	if t.left.Add(-1) == 0 {
+		jn.binDone(fs, bin, false)
+	}
+	if mine != nil {
+		jn.drainStripe(fs, mine)
+	}
+}
+
+// drainStripe applies st's queued batches until the queue is empty,
+// finishing each bin whose last batch it lands. After a failure the
+// batches are still popped and their bins acked, but not applied.
+func (jn *jobNode) drainStripe(fs *flowletState, st *prStripe) {
+	for {
+		b, ok := st.pop()
+		if !ok {
+			return
+		}
+		if !jn.failed.Load() {
+			if err := fs.applyStripeBatch(st, b.kvs); err != nil {
+				jn.failFlowlet(fs, err)
+			}
+		}
+		if b.t.left.Add(-1) == 0 {
+			jn.binDone(fs, b.t.bin, false)
+		}
+	}
 }
 
 // applyStripeBatch applies one stripe's batch of updates under that
